@@ -20,8 +20,9 @@ vet:
 	$(GO) vet ./...
 
 # Short fuzz runs: long enough to catch regressions in the decoder and
-# codec invariants, short enough for every verify run. -run='^$$' skips
-# the unit tests, which `race` already covered.
+# codec invariants, short enough for every verify run. The bit reader and
+# the postings kernel are fuzzed against bit-at-a-time references.
+# -run='^$$' skips the unit tests, which `race` already covered.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzReadTaggedMessage -fuzztime=$(FUZZTIME) ./internal/protocol
@@ -29,6 +30,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRoundTrip -fuzztime=$(FUZZTIME) ./internal/protocol
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsRoundTrip -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run='^$$' -fuzz=FuzzPostingsDecodeCorrupt -fuzztime=$(FUZZTIME) ./internal/codec
+	$(GO) test -run='^$$' -fuzz=FuzzDecodePostingsIntoReference -fuzztime=$(FUZZTIME) ./internal/codec
+	$(GO) test -run='^$$' -fuzz=FuzzBitReader -fuzztime=$(FUZZTIME) ./internal/bitio
 
 # Regenerate BENCH_pool.json (concurrent throughput over the shared pool).
 bench-pool:

@@ -4,13 +4,16 @@
 // Bits are written most-significant-bit first within each byte, matching the
 // layout used by the MG system's compressed inverted files. A Writer
 // accumulates bits into an internal buffer; Bytes returns the padded result.
-// A Reader consumes bits from a byte slice and tracks its position so that
-// skip pointers (byte+bit offsets) can be followed.
+// A Reader consumes bits from a byte slice through a 64-bit window and
+// tracks its position so that skip pointers (byte+bit offsets) can be
+// followed.
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrUnexpectedEOF is returned when a read runs past the end of the input.
@@ -77,12 +80,18 @@ func (w *Writer) Reset() {
 	w.cur, w.ncur = 0, 0
 }
 
-// Reader consumes bits MSB-first from a byte slice.
+// Reader consumes bits MSB-first from a byte slice, a 64-bit word at a time.
+//
+// Unread bits are held left-aligned in acc: its top nacc bits are the next
+// nacc bits of the input. Bits of acc below those are either zero or the
+// input bits that follow them, so a refill may OR the next bytes in over
+// them. Every read is a shift of acc; refills load 8 bytes with one
+// big-endian load, and byte by byte in the last 8 bytes of the input.
 type Reader struct {
 	data []byte
-	pos  int  // next byte index
-	cur  byte // remaining bits of the current byte, left-aligned
-	ncur uint // number of valid bits in cur
+	pos  int    // next byte of data to load into acc
+	acc  uint64 // unread bits, left-aligned
+	nacc uint   // number of valid bits in acc (0..64)
 }
 
 // NewReader returns a Reader over data. The Reader does not copy data.
@@ -96,34 +105,87 @@ func NewReader(data []byte) *Reader {
 func (r *Reader) Reset(data []byte) {
 	r.data = data
 	r.pos = 0
-	r.cur, r.ncur = 0, 0
+	r.acc, r.nacc = 0, 0
+}
+
+// refill tops the window up to at least 57 valid bits, or to every
+// remaining bit of the input when fewer are left. It is kept out of line
+// so that Peek, which runs once per decoded posting, inlines.
+//
+//go:noinline
+func (r *Reader) refill() {
+	if r.pos+8 <= len(r.data) {
+		r.acc |= binary.BigEndian.Uint64(r.data[r.pos:]) >> r.nacc
+		k := (64 - r.nacc) >> 3 // whole bytes that fit below the valid bits
+		r.pos += int(k)
+		r.nacc += k << 3
+		return
+	}
+	for r.nacc <= 56 && r.pos < len(r.data) {
+		r.acc |= uint64(r.data[r.pos]) << (56 - r.nacc)
+		r.pos++
+		r.nacc += 8
+	}
+}
+
+// Peek returns the window of unread bits, left-aligned, and the number n of
+// them that are valid. n is at least 57 unless fewer bits remain, in which
+// case it is all of them; bits of the window past n are unspecified. Peek
+// consumes nothing: Skip does. Decoders use the pair to take several codes
+// from one window, falling back to the checked reads when a code might not
+// fit in it.
+func (r *Reader) Peek() (window uint64, n uint) {
+	if r.nacc <= 56 {
+		r.refill()
+	}
+	return r.acc, r.nacc
+}
+
+// Skip consumes n bits of the window the last Peek returned; n must not
+// exceed the valid count Peek reported.
+func (r *Reader) Skip(n uint) {
+	r.acc <<= n
+	r.nacc -= n
 }
 
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (uint, error) {
-	if r.ncur == 0 {
-		if r.pos >= len(r.data) {
+	if r.nacc == 0 {
+		r.refill()
+		if r.nacc == 0 {
 			return 0, ErrUnexpectedEOF
 		}
-		r.cur = r.data[r.pos]
-		r.pos++
-		r.ncur = 8
 	}
-	bit := uint(r.cur >> 7)
-	r.cur <<= 1
-	r.ncur--
+	bit := uint(r.acc >> 63)
+	r.acc <<= 1
+	r.nacc--
 	return bit, nil
 }
 
-// ReadBits reads n bits (n ≤ 64) and returns them right-aligned.
+// ReadBits reads n bits and returns them right-aligned. For n > 64 only the
+// last 64 bits read are returned. A read past the end of the input consumes
+// the rest of it and returns ErrUnexpectedEOF.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
+	if n <= r.nacc {
+		v := r.acc >> (64 - n)
+		r.acc <<= n
+		r.nacc -= n
+		return v, nil
+	}
+	if n > uint(r.Remaining()) {
+		r.pos, r.acc, r.nacc = len(r.data), 0, 0
+		return 0, ErrUnexpectedEOF
+	}
 	var v uint64
-	for i := uint(0); i < n; i++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+	for n > 0 {
+		if r.nacc == 0 {
+			r.refill()
 		}
-		v = v<<1 | uint64(bit)
+		k := min(n, r.nacc)
+		v = v<<k | r.acc>>(64-k)
+		r.acc <<= k
+		r.nacc -= k
+		n -= k
 	}
 	return v, nil
 }
@@ -132,20 +194,27 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 func (r *Reader) ReadUnary() (uint64, error) {
 	var v uint64
 	for {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return 0, err
+		if r.nacc == 0 {
+			r.refill()
+			if r.nacc == 0 {
+				return 0, ErrUnexpectedEOF
+			}
 		}
-		if bit == 0 {
-			return v, nil
+		ones := uint(bits.LeadingZeros64(^r.acc))
+		if ones < r.nacc {
+			r.acc <<= ones + 1
+			r.nacc -= ones + 1
+			return v + uint64(ones), nil
 		}
-		v++
+		v += uint64(r.nacc)
+		r.acc <<= r.nacc
+		r.nacc = 0
 	}
 }
 
 // BitPos reports the number of bits consumed so far.
 func (r *Reader) BitPos() int {
-	return r.pos*8 - int(r.ncur)
+	return r.pos*8 - int(r.nacc)
 }
 
 // SeekBit positions the reader at an absolute bit offset.
@@ -154,14 +223,11 @@ func (r *Reader) SeekBit(bit int) error {
 		return fmt.Errorf("bitio: seek to bit %d outside input of %d bits", bit, len(r.data)*8)
 	}
 	r.pos = bit / 8
-	rem := uint(bit % 8)
-	if rem == 0 {
-		r.cur, r.ncur = 0, 0
-		return nil
+	r.acc, r.nacc = 0, 0
+	if rem := uint(bit % 8); rem != 0 {
+		r.refill()
+		r.Skip(rem)
 	}
-	r.cur = r.data[r.pos] << rem
-	r.ncur = 8 - rem
-	r.pos++
 	return nil
 }
 

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"teraphim/internal/bitio"
 )
@@ -52,9 +53,62 @@ func EncodePostings(w *bitio.Writer, postings []Posting, numDocs uint32) error {
 // caller can chain blocks. dst must have room for count postings; no bounds
 // validation is performed beyond the bitstream itself, callers wanting the
 // checked path use DecodePostings.
+//
+// Postings are taken whole from a peeked 64-bit window, as many as fit in
+// it per refill: the Golomb quotient's leading ones, the truncated-binary
+// remainder and the gamma f_dt. A posting that does not fit in a freshly
+// peeked window — at the end of the stream, or with a long quotient or
+// gamma code — is decoded by the checked Golomb and Gamma calls instead,
+// from the same position. The postings, the returned document, the error
+// and the reader's final position are therefore those of the checked calls
+// on every input, valid or corrupt.
 func DecodePostingsInto(dst []Posting, r *bitio.Reader, count int, b uint64, prevDoc int64) (int64, error) {
 	doc := prevDoc
-	for i := 0; i < count; i++ {
+	// nbits and thresh are readTruncated's, hoisted out of the loop. b == 1
+	// has no remainder bits (nbits and thresh 0 make the remainder step
+	// below a no-op); b == 0 always takes the checked path, which rejects it.
+	var nbits uint
+	var thresh uint64
+	if b > 1 {
+		nbits = uint(bits.Len64(b - 1))
+		thresh = uint64(1)<<nbits - b
+	}
+	for i := 0; i < count; {
+		w, n := r.Peek()
+		took := uint(0)
+		for ; i < count && b != 0; i++ {
+			q := uint(bits.LeadingZeros64(^w))
+			used := q + 1
+			if used+nbits > n {
+				break
+			}
+			// Truncated binary: the next nbits-1 bits, or nbits when those
+			// reach the threshold.
+			x := w << used >> (64 - nbits)
+			rem := x >> 1
+			used += nbits
+			if rem < thresh {
+				used--
+			} else {
+				rem = x - thresh
+			}
+			t := w << used
+			l := uint(bits.LeadingZeros64(^t))
+			if used+2*l+1 > n {
+				break
+			}
+			fdt := uint64(1)<<l | t<<l>>(63-l)
+			used += 2*l + 1
+			w <<= used
+			n -= used
+			took += used
+			doc += int64(uint64(q)*b + rem + 1)
+			dst[i] = Posting{Doc: uint32(doc), FDT: uint32(fdt)}
+		}
+		r.Skip(took)
+		if took > 0 || i == count {
+			continue
+		}
 		gap, err := Golomb(r, b)
 		if err != nil {
 			return doc, fmt.Errorf("codec: posting %d gap: %w", i, err)
@@ -65,6 +119,7 @@ func DecodePostingsInto(dst []Posting, r *bitio.Reader, count int, b uint64, pre
 		}
 		doc += int64(gap)
 		dst[i] = Posting{Doc: uint32(doc), FDT: uint32(fdt)}
+		i++
 	}
 	return doc, nil
 }

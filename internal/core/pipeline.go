@@ -61,6 +61,11 @@ const (
 // speak only the seed framing; the caller falls through to the legacy path.
 var errWireLegacy = errors.New("core: replica negotiated legacy framing")
 
+// maxRetainedFrame caps the frame buffer a write loop keeps between frames,
+// so one oversized request does not pin its buffer for the connection's
+// life.
+const maxRetainedFrame = 1 << 20
+
 // errConnDraining reports a pipelined connection that stopped accepting new
 // exchanges because its replica is being removed.
 var errConnDraining = errors.New("core: connection draining")
@@ -108,6 +113,11 @@ type pipeConn struct {
 	err      error // first failure, set by fail()
 	busy     bool  // pending > 0; drives in-use/idle gauge accounting
 	draining bool  // no new exchanges; close when pending drains to zero
+
+	// orphan marks a connection dialed for a replica removed mid-dial: it
+	// serves only the exchange that dialed it, outside the replica's set.
+	// Set before dialPipe returns it and read only by that caller.
+	orphan bool
 }
 
 func newPipeConn(p *Pool, rep *replica, conn net.Conn, depth int) *pipeConn {
@@ -231,7 +241,7 @@ func (pc *pipeConn) closedByPool() bool {
 }
 
 func (pc *pipeConn) writeLoop() {
-	wr := &protocol.Writer{W: pc.conn, Tagged: true}
+	var buf []byte
 	for {
 		select {
 		case w := <-pc.writeCh:
@@ -241,25 +251,32 @@ func (pc *pipeConn) writeLoop() {
 			if skip {
 				continue
 			}
-			// Stamp before the write hits the wire: the reply races the
-			// stamping otherwise, and a zero writtenAt would turn the
-			// measured wait into garbage that poisons the hedge-delay
-			// quantile. Ship is therefore the queue-to-wire delay and Wait
-			// the write plus round trip — together the exchange's true total.
-			began := time.Now()
-			pc.mu.Lock()
-			w.pend.writtenAt = began
-			w.pend.ship = began.Sub(w.pend.start)
-			pc.mu.Unlock()
-			n, err := wr.Write(w.tag, w.msg)
+			frame, err := protocol.AppendFrame(buf[:0], w.tag, true, w.msg)
 			if err != nil {
 				pc.fail(fmt.Errorf("core: pipelined write: %w", err), !pc.closedByPool())
 				return
 			}
+			if cap(frame) <= maxRetainedFrame {
+				buf = frame
+			}
+			// Stamp before the write hits the wire: the reply races the
+			// stamping otherwise, and a zero writtenAt would turn the
+			// measured wait into garbage that poisons the hedge-delay
+			// quantile, while a zero wrote would drop the request from the
+			// trace's byte count. Ship is therefore the queue-to-wire delay
+			// and Wait the write plus round trip — together the exchange's
+			// true total.
+			began := time.Now()
 			pc.mu.Lock()
-			w.pend.wrote = n
+			w.pend.writtenAt = began
+			w.pend.ship = began.Sub(w.pend.start)
+			w.pend.wrote = len(frame)
 			pc.mu.Unlock()
-			pc.pool.metrics.wireBytesOut.Add(uint64(n))
+			if _, err := pc.conn.Write(frame); err != nil {
+				pc.fail(fmt.Errorf("core: pipelined write: protocol: write %v: %w", w.msg.Type(), err), !pc.closedByPool())
+				return
+			}
+			pc.pool.metrics.wireBytesOut.Add(uint64(len(frame)))
 		case <-pc.dead:
 			return
 		}
@@ -588,9 +605,15 @@ func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration
 	s := &rep.pipes
 	s.mu.Lock()
 	if s.draining {
+		// The replica was removed while this dial was in flight. The
+		// exchange that dialed leased its slot before the removal, so, like
+		// any exchange in flight at removal, it completes: on this
+		// connection alone, which never joins the set and is closed when
+		// the attempt ends. Failing it instead would starve every exchange
+		// of a replica set churning faster than one handshake.
 		s.mu.Unlock()
-		pc.fail(errConnDraining, false)
-		return nil, hs, errConnDraining
+		pc.orphan = true
+		return pc, hs, nil
 	}
 	s.conns = append(s.conns, pc)
 	s.cond.Broadcast()
@@ -672,6 +695,9 @@ func (e *exec) attemptPiped(ctx context.Context, name string, phase Phase, req p
 			return []Call{call}, hs.reply, endpoint, nil
 		}
 		return nil, nil, endpoint, errWireLegacy
+	}
+	if pc != nil && pc.orphan {
+		defer pc.fail(errConnDraining, false)
 	}
 	if err != nil {
 		// A drain is administrative (the replica was just removed), not a

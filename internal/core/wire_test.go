@@ -362,3 +362,49 @@ func TestCrossClientBatching(t *testing.T) {
 	}
 	assertNoLeakedConns(t, batched.Pool())
 }
+
+// TestPipelinedTraceBytesStable pins the pipelined wire's byte accounting:
+// every exchange's request bytes are stamped before its frame is written,
+// so a reply that overtakes the write loop cannot complete the call with
+// ReqBytes 0. Repeated passes of one query set must therefore record the
+// same Trace.BytesTransferred every time, equal to the seed wire's count
+// for the same messages plus the 4-byte tag each tagged frame carries.
+func TestPipelinedTraceBytesStable(t *testing.T) {
+	corpus, order := smallCorpus(t)
+	seed := buildRecep(t, corpus, order, Config{WireFeatures: protocol.FeatureNone}, nil)
+	piped := buildRecep(t, corpus, order, Config{}, nil)
+	queries := []string{"alpha federal wallstreet", "federal fiscal", "widget", "alpha w1 w2 w3"}
+	pass := func(r *Receptionist) (bytes, calls int) {
+		for _, mode := range []Mode{ModeCN, ModeCV} {
+			for _, q := range queries {
+				res, err := r.Query(mode, q, 10, Options{})
+				if err != nil {
+					t.Fatalf("%v %q: %v", mode, q, err)
+				}
+				for _, c := range res.Trace.Calls {
+					if c.ReqBytes == 0 || c.RespBytes == 0 {
+						t.Fatalf("%v %q: call to %s recorded %d request and %d reply bytes", mode, q, c.Librarian, c.ReqBytes, c.RespBytes)
+					}
+				}
+				bytes += res.Trace.BytesTransferred(0)
+				calls += len(res.Trace.Calls)
+				r.InvalidateCache()
+			}
+		}
+		return bytes, calls
+	}
+	for _, r := range []*Receptionist{seed, piped} {
+		if _, err := r.SetupVocabulary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seedBytes, seedCalls := pass(seed)
+	const tagLen = 4
+	want := seedBytes + 2*tagLen*seedCalls
+	for i := 0; i < 30; i++ {
+		got, calls := pass(piped)
+		if calls != seedCalls || got != want {
+			t.Fatalf("pass %d: %d bytes over %d calls, want %d over %d (seed wire %d bytes)", i, got, calls, want, seedCalls, seedBytes)
+		}
+	}
+}

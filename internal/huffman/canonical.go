@@ -33,11 +33,21 @@ type Code struct {
 
 	// Decoding tables, canonical-order: firstCode[l] is the first codeword
 	// of length l, firstSym[l] the index into symOrder of its symbol.
+	// limit[l] is one past the last codeword of length l, left-justified to
+	// limitBits: codewords of increasing length occupy consecutive ranges,
+	// so a codeword's length is the least l whose limit exceeds the
+	// left-justified input.
 	firstCode [maxCodeLen + 2]uint64
 	firstSym  [maxCodeLen + 2]int
+	limit     [maxCodeLen + 2]uint64
 	symOrder  []uint32 // symbols sorted by (length, symbol)
+	minLen    uint8
 	maxLen    uint8
 }
+
+// limitBits is the width limits are left-justified to: one more than the
+// longest codeword, so a complete code's last limit (2^limitBits) fits.
+const limitBits = maxCodeLen + 1
 
 // New builds a canonical Huffman code from symbol frequencies. Symbols with
 // zero frequency receive no codeword. At least one symbol must have nonzero
@@ -78,8 +88,31 @@ func (c *Code) Encode(w *bitio.Writer, sym uint32) error {
 	return nil
 }
 
-// Decode reads one codeword from r and returns its symbol.
+// Decode reads one codeword from r and returns its symbol. The codeword is
+// resolved from one peeked window by comparing it against the per-length
+// limits; near the end of the input, where the window may hold fewer bits
+// than the longest codeword, it is read bit by bit instead.
 func (c *Code) Decode(r *bitio.Reader) (uint32, error) {
+	w, n := r.Peek()
+	if n < uint(c.maxLen) {
+		return c.decodeBits(r)
+	}
+	v := w >> (64 - limitBits)
+	l := c.minLen
+	for l <= c.maxLen && v >= c.limit[l] {
+		l++
+	}
+	if l > c.maxLen {
+		r.Skip(uint(c.maxLen))
+		return 0, ErrUnknownSymbol
+	}
+	r.Skip(uint(l))
+	return c.symOrder[c.firstSym[l]+int(w>>(64-l)-c.firstCode[l])], nil
+}
+
+// decodeBits is Decode one bit at a time, for the end of the input: a
+// codeword cut short there fails with the reader's end-of-input error.
+func (c *Code) decodeBits(r *bitio.Reader) (uint32, error) {
 	var code uint64
 	for l := uint8(1); l <= c.maxLen; l++ {
 		bit, err := r.ReadBit()
@@ -262,7 +295,11 @@ func fromLengths(lengths []uint8) (*Code, error) {
 		code <<= 1
 		c.firstCode[l] = code
 		code += uint64(counts[l])
+		c.limit[l] = code << (limitBits - l)
 		sym += counts[l]
+		if c.minLen == 0 && counts[l] > 0 {
+			c.minLen = l
+		}
 		kraft += uint64(counts[l]) << (maxCodeLen + 1 - l)
 	}
 	if kraft > 1<<(maxCodeLen+1) {

@@ -18,10 +18,11 @@ const fallbackBlock = 64
 // optimisation whose effect the paper estimates at 2x for small k'.
 //
 // Postings are decoded a skip-block at a time into an internal buffer via
-// codec.DecodePostingsInto, so the per-posting cost is an array read rather
-// than a bit-level decode call. The buffer (and the cursor itself, through
-// Index.ResetCursor) is reusable across terms and queries, which is what
-// keeps the scoring kernel allocation-free in steady state.
+// codec.DecodePostingsInto, which takes whole postings from 64-bit windows
+// of the bitstream, so delivering a buffered posting is an array read. The
+// buffer (and the cursor itself, through Index.ResetCursor) is reusable
+// across terms and queries, which is what keeps the scoring kernel
+// allocation-free in steady state.
 type TermCursor struct {
 	entry   *termEntry
 	r       bitio.Reader

@@ -234,6 +234,15 @@ func TestUpdatablePipeliningUnderIngest(t *testing.T) {
 	if err := <-ingestDone; err != nil {
 		t.Fatal(err)
 	}
+	// Flush returns once every batch is published, but the size-tiered
+	// merges those publications scheduled may still be running; one landing
+	// between the tagged call and the seed call below would change the
+	// segment layout under the parity check. Every merge is scheduled
+	// before its batch counts as published, so once Flush has returned no
+	// new one starts and the wait group only drains.
+	for u.merging.Load() {
+		u.mergeWG.Wait()
+	}
 
 	// Quiesced: tagged and seed-framing sessions must answer identically.
 	for _, q := range []string{"sentinel", "whale reef", "beacon tide"} {
