@@ -1,11 +1,12 @@
 # Development targets. `make verify` is the pre-merge wall: static checks,
-# the full test suite under the race detector, and short fuzz smokes of the
-# wire protocol and postings codec.
+# the full test suite under the race detector, repeated race runs of the
+# connection walls, and short fuzz smokes of the wire protocol and postings
+# codec.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fuzz-smoke bench bench-smoke bench-pool bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
+.PHONY: build test race race-conn vet fmt-check fuzz-smoke bench bench-smoke bench-pool bench-cache bench-cache-smoke bench-select bench-select-smoke bench-replica bench-replica-smoke bench-wire bench-wire-smoke bench-ingest bench-ingest-smoke verify
 
 build:
 	$(GO) build ./...
@@ -16,8 +17,18 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The connection walls — chaos, wire, pool, replica, cancel, deadline and
+# hedge tests — repeated under the race detector: every exchange shares the
+# pool's lease and connection machinery, and its races are intermittent.
+race-conn:
+	$(GO) test -race -count=3 -run 'Chaos|Wire|Pool|Replica|Cancel|Deadline|Hedge' ./internal/core/
+
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-formatted, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Short fuzz runs: long enough to catch regressions in the decoder and
 # codec invariants, short enough for every verify run. The bit reader and
@@ -104,5 +115,5 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=SearchKernel -benchmem -benchtime=0.05s .
 
-verify: vet build race fuzz-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
+verify: fmt-check vet build race race-conn fuzz-smoke bench-smoke bench-cache-smoke bench-select-smoke bench-replica-smoke bench-wire-smoke bench-ingest-smoke
 	@echo "verify: OK"

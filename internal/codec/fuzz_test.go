@@ -31,7 +31,7 @@ func postingsFromBytes(data []byte, numDocs uint32) []Posting {
 func FuzzPostingsRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 3, 5, 8, 13, 21}, uint32(100))
 	f.Add([]byte{0, 0, 0, 0}, uint32(1))
-	f.Add([]byte{255, 255, 255, 1}, uint32(1 << 30))
+	f.Add([]byte{255, 255, 255, 1}, uint32(1<<30))
 	f.Add([]byte{}, uint32(50))
 	f.Fuzz(func(t *testing.T, data []byte, numDocs uint32) {
 		if numDocs == 0 {

@@ -113,11 +113,11 @@ func newMetrics(reg *obs.Registry) *Metrics {
 	m.stageMerge = stage("merge")
 
 	m.acquireWait = reg.Histogram("teraphim_pool_acquire_wait_seconds",
-		"Time a query spent blocked waiting for a per-librarian connection slot.", "", nil)
+		"Time an exchange spent blocked waiting for a per-librarian exchange slot.", "", nil)
 	m.connsInUse = reg.Gauge("teraphim_pool_conns_in_use",
-		"Connections currently leased to in-flight exchanges.", "")
+		"Connections carrying in-flight exchanges.", "")
 	m.connsIdle = reg.Gauge("teraphim_pool_conns_idle",
-		"Connections parked on the idle lists, ready for reuse.", "")
+		"Open connections with no exchange in flight, ready for reuse.", "")
 	m.dirtyDiscards = reg.Counter("teraphim_pool_dirty_discards_total",
 		"Connections discarded because their stream was interrupted mid-message.", "")
 

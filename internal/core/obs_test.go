@@ -120,8 +120,9 @@ func TestMetricsMatchTraces(t *testing.T) {
 }
 
 // TestLibrarianMetricsMatchTraces shares one registry between the pool and
-// instrumented librarians and checks that the librarian-side evaluation
-// counters equal the work the query traces report.
+// instrumented librarians — frozen ones and a streaming UpdatableLibrarian —
+// and checks that the librarian-side evaluation counters equal the work the
+// query traces report.
 func TestLibrarianMetricsMatchTraces(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	a := testAnalyzer()
@@ -136,6 +137,13 @@ func TestLibrarianMetricsMatchTraces(t *testing.T) {
 		libs = append(libs, lib)
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
+	up, err := librarian.NewUpdatable("UP", corpus[order[0]], librarian.BuildOptions{Analyzer: a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	up.Instrument(reg)
+	dialer.AddEndpoint("UP", up, simnet.LinkConfig{})
+	order = append(order[:len(order):len(order)], "UP")
 	recep, err := Connect(dialer, order, Config{Analyzer: a, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +199,9 @@ func TestLibrarianMetricsMatchTraces(t *testing.T) {
 }
 
 // slowFixture is a deployment whose links add real propagation delay, so a
-// query that is not cancelled takes hundreds of milliseconds.
-func slowFixture(t *testing.T, latency time.Duration, cfg Config) *Receptionist {
+// query that is not cancelled takes hundreds of milliseconds. mutate, when
+// non-nil, adjusts the librarians before the pool's setup Hello runs.
+func slowFixture(t *testing.T, latency time.Duration, cfg Config, mutate func([]*librarian.Librarian)) *Receptionist {
 	t.Helper()
 	corpus, order := smallCorpus(t)
 	a := testAnalyzer()
@@ -203,6 +212,9 @@ func slowFixture(t *testing.T, latency time.Duration, cfg Config) *Receptionist 
 			t.Fatal(err)
 		}
 		libs = append(libs, lib)
+	}
+	if mutate != nil {
+		mutate(libs)
 	}
 	dialer := librarian.NewInProcessDialer(libs, simnet.LinkConfig{Latency: latency})
 	cfg.Analyzer = a
@@ -231,12 +243,17 @@ func TestQueryContextCancelsMidFlight(t *testing.T) {
 		// minDirty/maxDirty bound teraphim_pool_dirty_discards_total after
 		// the cancelled query.
 		minDirty, maxDirty float64
+		// mutate, when non-nil, adjusts the librarians before setup.
+		mutate func([]*librarian.Librarian)
 	}{
-		{"pipelined", Config{}, 0, 0},
-		{"legacy", Config{WireFeatures: protocol.FeatureNone}, 1, 1 << 20},
+		{"pipelined", Config{}, 0, 0, nil},
+		{"legacy", Config{WireFeatures: protocol.FeatureNone}, 1, 1 << 20, nil},
+		// A default pool whose librarians grant nothing runs the seed
+		// framing, so it pays the seed discard rule.
+		{"mixed", Config{}, 1, 1 << 20, grantNothing},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			recep := slowFixture(t, latency, tc.cfg)
+			recep := slowFixture(t, latency, tc.cfg, tc.mutate)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			timer := time.AfterFunc(30*time.Millisecond, cancel)

@@ -12,23 +12,25 @@ import (
 	"teraphim/internal/protocol"
 )
 
-// Pipelined connections.
+// Connections.
 //
-// The seed pool leases a whole connection per in-flight exchange, so a
-// replica's concurrency is capped at MaxConnsPerLibrarian. When both sides
-// negotiate FeaturePipelining (via the Hello feature bitmask), frames carry a
-// u32 exchange tag and one connection multiplexes up to PipelineDepth
-// concurrent exchanges: the lease unit shifts from an exclusive connection to
-// an exclusive tag, multiplying per-replica capacity by the pipeline depth
-// without opening more sockets. The paper's cost model charges per network
-// contact; pipelining keeps contacts (and connections) flat while concurrency
-// grows.
+// Every exchange runs on a pipeConn: a dedicated write loop serializes
+// frames and a dedicated read loop hands each reply to its waiting exchange.
+// When both sides negotiate FeaturePipelining (via the Hello feature
+// bitmask), frames carry a u32 exchange tag and one connection multiplexes
+// up to PipelineDepth concurrent exchanges, multiplying per-replica capacity
+// by the pipeline depth without opening more sockets. The paper's cost model
+// charges per network contact; pipelining keeps contacts (and connections)
+// flat while concurrency grows. A connection in the seed framing is the same
+// pipeConn with a window of one: its single exchange needs no tag.
 //
-// Failure semantics mirror the legacy path: any deadline expiry — the
-// per-call policy timer or a context deadline — kills the whole connection
-// (the peer is presumed stuck; every pending exchange errors out and retries
-// redial), while a plain cancellation merely abandons its tag, leaving the
-// connection healthy for its neighbours.
+// Failure semantics: any deadline expiry — the per-call policy timer or a
+// context deadline — kills the whole connection (the peer is presumed stuck;
+// every pending exchange errors out and retries redial). A plain
+// cancellation abandons its exchange: a tagged reply is discarded on arrival,
+// so the connection stays healthy for its neighbours, while a seed-framed
+// request already on the wire leaves a reply nothing can discard, and the
+// connection goes with it.
 
 // Wire feature constants re-exported so callers configuring a Receptionist
 // don't need to import internal/protocol.
@@ -50,25 +52,19 @@ const DefaultWireFeatures = protocol.FeaturePipelining | protocol.FeatureBatchin
 // when Config.PipelineDepth is zero.
 const DefaultPipelineDepth = 8
 
-// Wire states for replica.wire: what the Hello negotiation told us.
-const (
-	wireUnknown   int32 = iota // no handshake completed yet
-	wirePipelined              // peer granted FeaturePipelining
-	wireLegacy                 // peer declined; use the seed exclusive-conn path
-)
-
-// errWireLegacy is returned by attemptPiped when the replica is known to
-// speak only the seed framing; the caller falls through to the legacy path.
-var errWireLegacy = errors.New("core: replica negotiated legacy framing")
-
 // maxRetainedFrame caps the frame buffer a write loop keeps between frames,
 // so one oversized request does not pin its buffer for the connection's
 // life.
 const maxRetainedFrame = 1 << 20
 
-// errConnDraining reports a pipelined connection that stopped accepting new
+// errConnDraining reports a connection that stopped accepting new
 // exchanges because its replica is being removed.
 var errConnDraining = errors.New("core: connection draining")
+
+// errNoFreeSlot is the sentinel a try-only lease (a hedge) gets when the
+// picked replica has no exchange slot free right now. It never surfaces to
+// callers: a hedge that cannot get a slot simply does not launch.
+var errNoFreeSlot = errors.New("core: no free replica slot")
 
 // pipePending is one in-flight exchange on a pipeConn. All fields except done
 // are guarded by the owning pipeConn's mu: the write loop stamps them, the
@@ -95,17 +91,31 @@ type pipeWrite struct {
 	pend *pipePending
 }
 
-// pipeConn is one negotiated, tagged connection multiplexing concurrent
-// exchanges. A dedicated write loop serializes frames and a dedicated read
-// loop demultiplexes replies by tag; replies for unknown tags (abandoned
-// exchanges) are discarded without disturbing the framing.
+// pipeConn is one connection carrying up to window concurrent exchanges. A
+// dedicated write loop serializes frames and a dedicated read loop
+// demultiplexes replies by tag; replies for unknown tags (abandoned
+// exchanges) are discarded without disturbing the framing. A seed-framed
+// connection (tagged false) has a window of one, and its read loop settles
+// that one exchange.
 type pipeConn struct {
-	pool *Pool
-	rep  *replica
-	conn net.Conn
+	pool   *Pool
+	rep    *replica
+	conn   net.Conn
+	tagged bool
+	window int
+
+	// leases counts the exchanges holding a window slot on this connection,
+	// from lease to release. Guarded by rep.pipes.mu, not mu: the slot is
+	// claimed in the same critical section that picks the connection, so a
+	// window-1 connection can never be handed to two exchanges.
+	leases int
 
 	writeCh chan pipeWrite
 	dead    chan struct{} // closed by fail(); loops treat it as shutdown
+	// armed, on a seed-framed connection, carries one token per request
+	// written: its read loop reads only while a reply is due, so an idle
+	// connection is left unread, as the seed wire left it.
+	armed chan struct{}
 
 	mu       sync.Mutex
 	pending  map[uint32]*pipePending
@@ -120,14 +130,23 @@ type pipeConn struct {
 	orphan bool
 }
 
-func newPipeConn(p *Pool, rep *replica, conn net.Conn, depth int) *pipeConn {
+func newPipeConn(p *Pool, rep *replica, conn net.Conn, tagged bool) *pipeConn {
+	window := 1
+	if tagged {
+		window = p.depth
+	}
 	pc := &pipeConn{
 		pool:    p,
 		rep:     rep,
 		conn:    conn,
-		writeCh: make(chan pipeWrite, depth),
+		tagged:  tagged,
+		window:  window,
+		writeCh: make(chan pipeWrite, window),
 		dead:    make(chan struct{}),
 		pending: make(map[uint32]*pipePending),
+	}
+	if !tagged {
+		pc.armed = make(chan struct{}, 1)
 	}
 	p.metrics.connsIdle.Inc()
 	go pc.writeLoop()
@@ -136,7 +155,7 @@ func newPipeConn(p *Pool, rep *replica, conn net.Conn, depth int) *pipeConn {
 }
 
 // syncBusyLocked moves the in-use/idle gauges when the connection crosses the
-// 0↔>0 pending boundary: a pipelined connection counts as in-use while any
+// 0↔>0 pending boundary: a connection counts as in-use while any
 // exchange is in flight on it, idle otherwise. Caller holds pc.mu. After
 // fail() the gauges are settled once and for all — a read-loop iteration that
 // raced the failure must not flip them again off the cleared pending map.
@@ -176,15 +195,23 @@ func (pc *pipeConn) register(pend *pipePending) (uint32, error) {
 	return tag, nil
 }
 
-// forget abandons a tag after a plain cancellation: the exchange's slot is
-// released but the connection stays up — a late reply for the tag is
-// discarded by the read loop, so the stream never desynchronizes and the
-// discard counts nothing against the dirty-connection metric.
-func (pc *pipeConn) forget(tag uint32) {
+// forget abandons an exchange after a plain cancellation (cause). A tagged
+// exchange, or one whose request never reached the wire, leaves the
+// connection up — a late reply for the tag is discarded by the read loop, so
+// the stream never desynchronizes and the discard counts nothing against the
+// dirty-connection metric. A seed-framed request already written has a reply
+// on its way that no tag can discard: the connection is failed as dirty,
+// the seed rule.
+func (pc *pipeConn) forget(tag uint32, cause error) {
 	pc.mu.Lock()
 	pend, ok := pc.pending[tag]
 	if !ok {
 		pc.mu.Unlock()
+		return
+	}
+	if !pc.tagged && !pend.writtenAt.IsZero() {
+		pc.mu.Unlock()
+		pc.fail(cause, true)
 		return
 	}
 	pend.abandoned = true
@@ -245,15 +272,9 @@ func (pc *pipeConn) writeLoop() {
 	for {
 		select {
 		case w := <-pc.writeCh:
-			pc.mu.Lock()
-			skip := w.pend.abandoned || pc.err != nil
-			pc.mu.Unlock()
-			if skip {
-				continue
-			}
-			frame, err := protocol.AppendFrame(buf[:0], w.tag, true, w.msg)
+			frame, err := protocol.AppendFrame(buf[:0], w.tag, pc.tagged, w.msg)
 			if err != nil {
-				pc.fail(fmt.Errorf("core: pipelined write: %w", err), !pc.closedByPool())
+				pc.fail(fmt.Errorf("core: write: %w", err), !pc.closedByPool())
 				return
 			}
 			if cap(frame) <= maxRetainedFrame {
@@ -265,18 +286,34 @@ func (pc *pipeConn) writeLoop() {
 			// quantile, while a zero wrote would drop the request from the
 			// trace's byte count. Ship is therefore the queue-to-wire delay
 			// and Wait the write plus round trip — together the exchange's
-			// true total.
+			// true total. The skip check shares the stamp's critical
+			// section: forget either sees the stamp or leaves a mark this
+			// check sees, so a seed-framed request is never written after
+			// its exchange was abandoned.
 			began := time.Now()
 			pc.mu.Lock()
-			w.pend.writtenAt = began
-			w.pend.ship = began.Sub(w.pend.start)
-			w.pend.wrote = len(frame)
+			skip := w.pend.abandoned || pc.err != nil
+			if !skip {
+				w.pend.writtenAt = began
+				w.pend.ship = began.Sub(w.pend.start)
+				w.pend.wrote = len(frame)
+			}
 			pc.mu.Unlock()
+			if skip {
+				continue
+			}
 			if _, err := pc.conn.Write(frame); err != nil {
-				pc.fail(fmt.Errorf("core: pipelined write: protocol: write %v: %w", w.msg.Type(), err), !pc.closedByPool())
+				pc.fail(fmt.Errorf("core: write: protocol: write %v: %w", w.msg.Type(), err), !pc.closedByPool())
 				return
 			}
 			pc.pool.metrics.wireBytesOut.Add(uint64(len(frame)))
+			if pc.armed != nil {
+				select {
+				case pc.armed <- struct{}{}:
+				case <-pc.dead:
+					return
+				}
+			}
 		case <-pc.dead:
 			return
 		}
@@ -284,14 +321,21 @@ func (pc *pipeConn) writeLoop() {
 }
 
 func (pc *pipeConn) readLoop() {
-	rd := &protocol.Reader{R: pc.conn, Tagged: true}
+	rd := &protocol.Reader{R: pc.conn, Tagged: pc.tagged}
 	for {
+		if pc.armed != nil {
+			select {
+			case <-pc.armed:
+			case <-pc.dead:
+				return
+			}
+		}
 		msg, tag, n, err := rd.Read()
 		if err != nil {
 			pc.mu.Lock()
 			busy := len(pc.pending) > 0
 			pc.mu.Unlock()
-			pc.fail(fmt.Errorf("core: pipelined read: %w", err), busy && !pc.closedByPool())
+			pc.fail(fmt.Errorf("core: read: %w", err), busy && !pc.closedByPool())
 			return
 		}
 		m := pc.pool.metrics
@@ -299,6 +343,11 @@ func (pc *pipeConn) readLoop() {
 		m.wireRoundTrips.Inc()
 		now := time.Now()
 		pc.mu.Lock()
+		if !pc.tagged {
+			// A seed-framed reply answers the connection's one exchange:
+			// the most recently registered.
+			tag = pc.nextTag
+		}
 		if pend, ok := pc.pending[tag]; ok {
 			delete(pc.pending, tag)
 			pend.read = n
@@ -325,10 +374,10 @@ func (pc *pipeConn) readLoop() {
 	}
 }
 
-// exchange runs one tagged request/reply on the connection under the caller's
+// exchange runs one request/reply on the connection under the caller's
 // deadline policy: a policy-timer or context-deadline expiry kills the whole
-// connection (legacy parity — the peer is presumed stuck and retries must
-// redial), while a plain cancellation abandons only this exchange's tag.
+// connection (the peer is presumed stuck and retries must redial), while a
+// plain cancellation abandons only this exchange (see forget).
 func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name string, phase Phase, req protocol.Message) (Call, protocol.Message, error) {
 	call := Call{Librarian: name, Replica: pc.rep.endpoint, Phase: phase, ReqType: req.Type()}
 	pend := &pipePending{done: make(chan struct{}), start: time.Now()}
@@ -352,7 +401,7 @@ func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name st
 		pc.mu.Unlock()
 		return call, nil, err
 	case <-ctx.Done():
-		pc.forget(tag)
+		pc.forget(tag, ctx.Err())
 		return call, nil, ctx.Err()
 	case <-timer:
 		pc.fail(os.ErrDeadlineExceeded, true)
@@ -368,7 +417,7 @@ func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name st
 			pc.fail(os.ErrDeadlineExceeded, true)
 			return call, nil, os.ErrDeadlineExceeded
 		}
-		pc.forget(tag)
+		pc.forget(tag, ctx.Err())
 		return call, nil, ctx.Err()
 	case <-timer:
 		pc.fail(os.ErrDeadlineExceeded, true)
@@ -387,10 +436,10 @@ func (pc *pipeConn) exchange(ctx context.Context, timeout time.Duration, name st
 	return call, reply, err
 }
 
-// pipeSet is a replica's collection of pipelined connections.
+// pipeSet is a replica's collection of connections.
 type pipeSet struct {
 	mu       sync.Mutex
-	cond     *sync.Cond // signalled when conns/creating changes
+	cond     *sync.Cond // signalled when conns/creating change or a window-1 slot frees
 	conns    []*pipeConn
 	creating int
 	draining bool
@@ -440,85 +489,197 @@ func (s *pipeSet) drain() {
 	}
 }
 
-// pipeFor returns a pipelined connection for rep: the least-loaded live one
-// if it has headroom, a fresh dial while the replica is under its connection
-// cap, otherwise the least-loaded one shared beyond its depth — total
-// concurrency is already bounded by the caller's tag lease, so sharing at
-// overload cannot run away.
-func (p *Pool) pipeFor(ctx context.Context, rep *replica, timeout time.Duration) (*pipeConn, error) {
+// lease claims one exchange slot on rep, the pool's one lease unit: a tag
+// from the replica's semaphore (capacity MaxConnsPerLibrarian ×
+// PipelineDepth), then a window slot on a connection. The connection is the
+// least-loaded live one with headroom; failing that, a new one while the
+// replica is under MaxConnsPerLibrarian, returned as nil for the caller to
+// dialPipe; failing that, the least-loaded tagged connection, shared beyond
+// its depth — the tag semaphore already bounds total concurrency, so sharing
+// at overload cannot run away. A seed-framed connection is never shared:
+// with every one busy at the cap, the exchange waits for a slot to free.
+// Both waits abort on ctx or Close and are observed together into the
+// acquire-wait histogram; a try-only lease (a hedge) waits for neither and
+// gets errNoFreeSlot instead. Every successful lease must be released.
+func (p *Pool) lease(ctx context.Context, rep *replica, tryOnly bool) (*pipeConn, error) {
+	start := time.Now()
+	if tryOnly {
+		select {
+		case rep.tags <- struct{}{}:
+		default:
+			return nil, errNoFreeSlot
+		}
+	} else {
+		select {
+		case rep.tags <- struct{}{}:
+		case <-p.done:
+			return nil, ErrPoolClosed
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	pc, err := p.claimSlot(ctx, rep, tryOnly)
+	if err != nil {
+		<-rep.tags
+		return nil, err
+	}
+	if !tryOnly {
+		p.metrics.acquireWait.ObserveDuration(time.Since(start))
+	}
+	rep.inflight.Add(1)
+	return pc, nil
+}
+
+// claimSlot is lease's window-slot step. The pick and the claim share one
+// critical section of the set's lock, which is what keeps a window-1
+// connection to one exchange at a time.
+func (p *Pool) claimSlot(ctx context.Context, rep *replica, tryOnly bool) (*pipeConn, error) {
 	s := &rep.pipes
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	var stop func() bool
 	for {
 		select {
 		case <-p.done:
-			s.mu.Unlock()
 			return nil, ErrPoolClosed
 		default:
 		}
 		if s.draining {
-			s.mu.Unlock()
 			return nil, errConnDraining
 		}
-		var best *pipeConn
-		bestLoad := 0
+		var free, shared *pipeConn
 		for _, pc := range s.conns {
 			pc.mu.Lock()
-			dead, load := pc.err != nil, len(pc.pending)
+			dead := pc.err != nil
 			pc.mu.Unlock()
 			if dead {
 				continue
 			}
-			if best == nil || load < bestLoad {
-				best, bestLoad = pc, load
+			if pc.leases < pc.window && (free == nil || pc.leases < free.leases) {
+				free = pc
+			}
+			if pc.tagged && (shared == nil || pc.leases < shared.leases) {
+				shared = pc
 			}
 		}
-		if best != nil && bestLoad < p.depth {
-			s.mu.Unlock()
-			return best, nil
-		}
-		if len(s.conns)+s.creating < p.max {
+		if free == nil && len(s.conns)+s.creating < p.max {
 			s.creating++
-			s.mu.Unlock()
-			pc, _, err := p.dialPipe(ctx, rep, timeout)
-			s.mu.Lock()
-			s.creating--
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			return pc, err
+			return nil, nil
 		}
-		if best != nil {
-			s.mu.Unlock()
-			return best, nil
+		if free == nil {
+			free = shared
 		}
-		// No live connection and the cap is accounted for by dead conns not
-		// yet forgotten or dials in flight — both broadcast on completion.
-		// The dial handshake carries the exchange deadline, so this wait is
-		// bounded by dial completion.
+		if free != nil {
+			free.leases++
+			return free, nil
+		}
+		// Every live connection is a busy seed-framed one, or the cap is
+		// held by dead connections not yet forgotten and dials in flight;
+		// each of these broadcasts when it changes.
+		if tryOnly {
+			return nil, errNoFreeSlot
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if stop == nil && ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() {
+				s.mu.Lock()
+				s.cond.Broadcast()
+				s.mu.Unlock()
+			})
+			defer stop()
+		}
 		s.cond.Wait()
 	}
 }
 
-// pipeHandshake reports what the setup exchange on a freshly negotiated
-// connection produced, so a caller whose own request was the Hello can use
-// the handshake's reply directly instead of paying a second round trip.
-type pipeHandshake struct {
-	reply protocol.Message
-	wrote int
-	read  int
-	ship  time.Duration
-	wait  time.Duration
+// release returns a lease. pc is the connection the exchange ran on, nil
+// when the dial for it failed.
+func (p *Pool) release(rep *replica, pc *pipeConn) {
+	if pc != nil {
+		s := &rep.pipes
+		s.mu.Lock()
+		pc.leases--
+		if !pc.tagged {
+			s.cond.Broadcast()
+		}
+		s.mu.Unlock()
+	}
+	rep.inflight.Add(-1)
+	<-rep.tags
 }
 
-// dialPipe dials rep, performs the Hello feature negotiation in seed framing,
-// and — when the peer grants pipelining — upgrades the connection to tagged
-// frames and registers it with the replica. When the peer declines, the
-// handshook connection is parked on the legacy idle list, the replica is
-// marked wireLegacy, and errWireLegacy tells the caller to fall through to
-// the seed exclusive-connection path.
+// pipeHandshake reports what the feature negotiation on a fresh connection
+// produced, so a caller whose own request was the Hello can use the
+// handshake's reply directly instead of paying a second round trip.
+type pipeHandshake struct {
+	reply  protocol.Message
+	tagged bool // the peer granted FeaturePipelining
+	wrote  int
+	read   int
+	ship   time.Duration
+	wait   time.Duration
+}
+
+// dialPipe fills a lease that reserved a new connection: it dials rep and
+// adds the connection to the replica's set holding the caller's slot. hs is
+// the feature handshake's outcome, nil when none ran.
 func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration) (*pipeConn, *pipeHandshake, error) {
+	conn, hs, err := p.dial(ctx, rep, timeout)
+	var pc *pipeConn
+	if err == nil {
+		pc = newPipeConn(p, rep, conn, hs != nil && hs.tagged)
+		pc.leases = 1
+	}
+	s := &rep.pipes
+	s.mu.Lock()
+	s.creating--
+	s.cond.Broadcast()
+	if err != nil {
+		s.mu.Unlock()
+		return nil, nil, err
+	}
+	closed := false
+	select {
+	case <-p.done:
+		closed = true
+	default:
+	}
+	switch {
+	case closed:
+		// Close has swept (or is sweeping) the set under this lock; a
+		// connection joining now would outlive the pool.
+		s.mu.Unlock()
+		pc.fail(net.ErrClosed, false)
+		return nil, nil, ErrPoolClosed
+	case s.draining:
+		// The replica was removed while this dial was in flight. The
+		// exchange that dialed leased its slot before the removal, so, like
+		// any exchange in flight at removal, it completes: on this
+		// connection alone, which never joins the set and is closed when
+		// the attempt ends. Failing it instead would starve every exchange
+		// of a replica set churning faster than one handshake.
+		pc.orphan = true
+	default:
+		s.conns = append(s.conns, pc)
+	}
+	s.mu.Unlock()
+	return pc, hs, nil
+}
+
+// dial connects to rep. Unless the pool asks for no pipelining or the
+// replica already declined it, it first negotiates features with a Hello in
+// seed framing; a peer that declines marks the replica seed-only, so its
+// later dials skip the handshake and go straight to seed framing, like the
+// seed wire itself.
+func (p *Pool) dial(ctx context.Context, rep *replica, timeout time.Duration) (net.Conn, *pipeHandshake, error) {
 	conn, err := p.dialer.Dial(rep.endpoint)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: dial %s: %w", rep.endpoint, err)
+	}
+	if !p.features.Has(protocol.FeaturePipelining) || rep.seedOnly.Load() {
+		return conn, nil, nil
 	}
 
 	// The handshake honours the same effective deadline an exchange would:
@@ -576,49 +737,18 @@ func (p *Pool) dialPipe(ctx context.Context, rep *replica, timeout time.Duration
 		conn.Close()
 		return nil, nil, &protocol.FeatureMismatchError{Requested: p.features, Granted: hr.Features}
 	}
-	hs := &pipeHandshake{
-		reply: reply,
-		wrote: wrote,
-		read:  read,
-		ship:  written.Sub(start),
-		wait:  time.Since(written),
+	tagged := hr.Features.Has(protocol.FeaturePipelining)
+	if !tagged {
+		rep.seedOnly.Store(true)
 	}
-
-	if !hr.Features.Has(protocol.FeaturePipelining) {
-		// Peer speaks the seed framing. Park the handshook connection for
-		// the legacy lease path and remember the negotiation outcome.
-		rep.wire.Store(wireLegacy)
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			conn.Close()
-			return nil, hs, ErrPoolClosed
-		}
-		p.idle[rep.endpoint] = append(p.idle[rep.endpoint], conn)
-		p.metrics.connsIdle.Inc()
-		p.mu.Unlock()
-		return nil, hs, errWireLegacy
-	}
-
-	rep.wire.Store(wirePipelined)
-	pc := newPipeConn(p, rep, conn, p.depth)
-	s := &rep.pipes
-	s.mu.Lock()
-	if s.draining {
-		// The replica was removed while this dial was in flight. The
-		// exchange that dialed leased its slot before the removal, so, like
-		// any exchange in flight at removal, it completes: on this
-		// connection alone, which never joins the set and is closed when
-		// the attempt ends. Failing it instead would starve every exchange
-		// of a replica set churning faster than one handshake.
-		s.mu.Unlock()
-		pc.orphan = true
-		return pc, hs, nil
-	}
-	s.conns = append(s.conns, pc)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return pc, hs, nil
+	return conn, &pipeHandshake{
+		reply:  reply,
+		tagged: tagged,
+		wrote:  wrote,
+		read:   read,
+		ship:   written.Sub(start),
+		wait:   time.Since(written),
+	}, nil
 }
 
 // hsCall converts a handshake's measurements into the Call record for a
@@ -630,12 +760,11 @@ func hsCall(name, endpoint string, phase Phase, req protocol.Message, hs *pipeHa
 	}
 }
 
-// attemptPiped is attempt() over the pipelined path: lease a tag instead of
-// a connection, multiplex the exchange onto one of the replica's negotiated
-// connections, and report health identically. It returns errWireLegacy when
-// the replica speaks (or turns out to speak) only the seed framing, in which
-// case attempt falls through to the legacy exclusive-connection path.
-func (e *exec) attemptPiped(ctx context.Context, name string, phase Phase, req protocol.Message, avoid string, tryOnly bool, onLease func(endpoint string)) ([]Call, protocol.Message, string, error) {
+// attemptOnce is one exchange against one replica of the named librarian:
+// pick (steering around avoid), lease, dial when the lease reserved a new
+// connection, exchange, report the outcome to the router's passive health
+// tracking, release. See attempt for onLease and the returned endpoint.
+func (e *exec) attemptOnce(ctx context.Context, name string, phase Phase, req protocol.Message, avoid string, tryOnly bool, onLease func(endpoint string)) ([]Call, protocol.Message, string, error) {
 	p := e.pool
 	rt, ok := p.routers[name]
 	if !ok {
@@ -645,70 +774,35 @@ func (e *exec) attemptPiped(ctx context.Context, name string, phase Phase, req p
 	if rep == nil {
 		return nil, nil, "", fmt.Errorf("core: librarian %q has no replicas", name)
 	}
-	if rep.wire.Load() == wireLegacy {
-		return nil, nil, "", errWireLegacy
-	}
 	endpoint := rep.endpoint
-
-	// Lease a tag — the pipelined unit of concurrency. Capacity is
-	// MaxConnsPerLibrarian × PipelineDepth, the capacity multiplication
-	// this path exists for.
-	if tryOnly {
-		select {
-		case rep.tags <- struct{}{}:
-		default:
-			return nil, nil, "", errNoFreeSlot
-		}
-	} else {
-		waitStart := time.Now()
-		select {
-		case rep.tags <- struct{}{}:
-		case <-p.done:
-			return nil, nil, "", ErrPoolClosed
-		case <-ctx.Done():
-			return nil, nil, "", ctx.Err()
-		}
-		p.metrics.acquireWait.ObserveDuration(time.Since(waitStart))
+	pc, err := p.lease(ctx, rep, tryOnly)
+	if err != nil {
+		return nil, nil, "", err
 	}
-	defer func() { <-rep.tags }()
-	rep.inflight.Add(1)
-	defer rep.inflight.Add(-1)
+	defer func() { p.release(rep, pc) }()
 	if onLease != nil {
 		onLease(endpoint)
 	}
 
-	var pc *pipeConn
-	var hs *pipeHandshake
-	var err error
-	if rep.wire.Load() == wirePipelined {
-		pc, err = p.pipeFor(ctx, rep, e.policy.timeout)
-	} else {
-		// First contact: dial and negotiate. The handshake Hello doubles as
-		// the exchange when the caller's own request is a Hello, so setup
-		// costs one round trip per connection, exactly like the seed.
+	if pc == nil {
+		var hs *pipeHandshake
 		pc, hs, err = p.dialPipe(ctx, rep, e.policy.timeout)
-	}
-	if errors.Is(err, errWireLegacy) {
+		if err != nil {
+			// Health accounting never counts a cancelled attempt against the
+			// replica: a hedge loser or an abandoned query says nothing about
+			// the endpoint. Pool shutdown says nothing either.
+			if ctx.Err() == nil && !errors.Is(err, ErrPoolClosed) {
+				rt.reportFailure(rep)
+			}
+			return nil, nil, endpoint, err
+		}
+		if pc.orphan {
+			defer pc.fail(errConnDraining, false)
+		}
+		// The handshake Hello doubles as the exchange when the caller's own
+		// request is a Hello, so setup costs one round trip per connection,
+		// exactly like the seed.
 		if _, isHello := req.(*protocol.Hello); isHello && hs != nil {
-			call := hsCall(name, endpoint, phase, req, hs)
-			rt.reportSuccess(rep, call.Ship+call.Wait)
-			return []Call{call}, hs.reply, endpoint, nil
-		}
-		return nil, nil, endpoint, errWireLegacy
-	}
-	if pc != nil && pc.orphan {
-		defer pc.fail(errConnDraining, false)
-	}
-	if err != nil {
-		// A drain is administrative (the replica was just removed), not a
-		// health signal.
-		if ctx.Err() == nil && !errors.Is(err, ErrPoolClosed) && !errors.Is(err, errConnDraining) {
-			rt.reportFailure(rep)
-		}
-		return nil, nil, endpoint, err
-	}
-	if hs != nil {
-		if _, isHello := req.(*protocol.Hello); isHello {
 			call := hsCall(name, endpoint, phase, req, hs)
 			rt.reportSuccess(rep, call.Ship+call.Wait)
 			return []Call{call}, hs.reply, endpoint, nil

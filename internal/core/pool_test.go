@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"teraphim/internal/librarian"
+	"teraphim/internal/protocol"
 	"teraphim/internal/simnet"
 )
 
@@ -96,18 +99,62 @@ type poolFixture struct {
 }
 
 func newPoolFixture(t testing.TB, maxConns int) *poolFixture {
+	return newWirePoolFixture(t, maxConns, poolWire{})
+}
+
+// poolWire is one wire configuration the pool walls run under.
+type poolWire struct {
+	name     string
+	features protocol.Features
+	// seedLibs serves the pool from librarians that grant no wire feature.
+	seedLibs bool
+}
+
+// poolWires are the default pipelined wire, the seed wire pinned by
+// FeatureNone, and a mixed fleet: a default pool whose librarians grant
+// nothing, so every connection falls back to the seed framing.
+var poolWires = []poolWire{
+	{name: "pipelined"},
+	{name: "seed", features: protocol.FeatureNone},
+	{name: "mixed", seedLibs: true},
+}
+
+func newWirePoolFixture(t testing.TB, maxConns int, wire poolWire) *poolFixture {
 	t.Helper()
 	corpus, order := smallCorpus(t)
 	f := newFixture(t, corpus, order)
 	// The fixture's own receptionist stays as the MS reference path; build a
 	// second pool with a counting dialer for the pool assertions.
-	counter := newCountingDialer(f.dialer)
-	pool, err := NewPool(counter, order, Config{Analyzer: testAnalyzer(), MaxConnsPerLibrarian: maxConns})
+	var inner simnet.Dialer = f.dialer
+	if wire.seedLibs {
+		var libs []*librarian.Librarian
+		for _, name := range order {
+			lib, err := librarian.Build(name, corpus[name], librarian.BuildOptions{Analyzer: testAnalyzer()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			libs = append(libs, lib)
+		}
+		grantNothing(libs)
+		d := librarian.NewInProcessDialer(libs, simnet.LinkConfig{})
+		t.Cleanup(d.Wait)
+		inner = d
+	}
+	counter := newCountingDialer(inner)
+	pool, err := NewPool(counter, order, Config{Analyzer: testAnalyzer(), MaxConnsPerLibrarian: maxConns, WireFeatures: wire.features})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pool.Close() })
 	return &poolFixture{fixture: f, pool: pool, counter: counter}
+}
+
+// exchange runs one request to the named librarian through the pool's
+// exchange path: lease, dial when needed, exchange, release.
+func (pf *poolFixture) exchange(name string) error {
+	e := &exec{ctx: context.Background(), fed: pf.pool.fed, pool: pf.pool}
+	_, _, _, err := e.attempt(e.ctx, name, PhaseSetup, &protocol.VocabRequest{}, "", false, nil)
+	return err
 }
 
 // TestCVIdenticalToMSConcurrent drives the paper's headline invariant — CV
@@ -243,37 +290,43 @@ func TestConcurrentSessionsAcrossModes(t *testing.T) {
 // TestPoolBoundsConnectionsPerLibrarian checks that MaxConnsPerLibrarian
 // really bounds concurrency: with a bound of 2 and 12 goroutines querying
 // flat out, no librarian ever has more than 2 open connections, yet every
-// query completes.
+// query completes — on every wire, including the seed framing where each
+// connection carries one exchange at a time.
 func TestPoolBoundsConnectionsPerLibrarian(t *testing.T) {
-	pf := newPoolFixture(t, 2)
-	if _, err := pf.pool.SetupVocabulary(); err != nil {
-		t.Fatal(err)
-	}
-	const goroutines = 12
-	var wg sync.WaitGroup
-	errc := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				if _, err := pf.pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{}); err != nil {
-					errc <- err
-					return
+	for _, wire := range poolWires {
+		t.Run(wire.name, func(t *testing.T) {
+			pf := newWirePoolFixture(t, 2, wire)
+			if _, err := pf.pool.SetupVocabulary(); err != nil {
+				t.Fatal(err)
+			}
+			const goroutines = 12
+			var wg sync.WaitGroup
+			errc := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 4; i++ {
+						if _, err := pf.pool.Query(ModeCV, "alpha federal wallstreet", 10, Options{}); err != nil {
+							errc <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Fatal(err)
+			}
+			for _, name := range pf.order {
+				_, _, maxOpen := pf.counter.stats(name)
+				if maxOpen > 2 {
+					t.Fatalf("librarian %s had %d concurrent connections, bound is 2", name, maxOpen)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	for _, name := range pf.order {
-		_, _, maxOpen := pf.counter.stats(name)
-		if maxOpen > 2 {
-			t.Fatalf("librarian %s had %d concurrent connections, bound is 2", name, maxOpen)
-		}
+			assertNoLeakedConns(t, pf.pool)
+		})
 	}
 }
 
@@ -298,47 +351,55 @@ func TestPoolReusesIdleConnections(t *testing.T) {
 	}
 }
 
-// TestPoolAcquireRelease exercises the explicit lease API, including dirty
-// discard: a lease marked dirty is replaced by a fresh dial on next use.
+// TestPoolAcquireRelease pins the lease cycle through the exchange path, on
+// the seed and the default wire: an unknown librarian is rejected, a clean
+// exchange reuses its connection, a dirty connection is replaced by exactly
+// one fresh dial, and exchanges after Close fail with ErrPoolClosed.
 func TestPoolAcquireRelease(t *testing.T) {
-	pf := newPoolFixture(t, 2)
-	if _, err := pf.pool.Acquire("nope"); !errorsIsUnknownLibrarian(err) {
-		t.Fatalf("Acquire unknown librarian: got %v", err)
-	}
-	pc, err := pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc.Librarian() != "AP" || pc.Conn() == nil {
-		t.Fatal("Acquire returned an unusable lease")
-	}
-	pf.pool.Release(pc)
-	dialsBefore, _, _ := pf.counter.stats("AP")
+	for _, wire := range poolWires[:2] {
+		t.Run(wire.name, func(t *testing.T) {
+			pf := newWirePoolFixture(t, 2, wire)
+			if err := pf.exchange("nope"); !errorsIsUnknownLibrarian(err) {
+				t.Fatalf("exchange with unknown librarian: got %v", err)
+			}
+			if err := pf.exchange("AP"); err != nil {
+				t.Fatal(err)
+			}
+			dialsBefore, _, _ := pf.counter.stats("AP")
 
-	// Clean release → reuse, no new dial.
-	pc, err = pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf.pool.Release(pc)
-	if dials, _, _ := pf.counter.stats("AP"); dials != dialsBefore {
-		t.Fatalf("clean lease redialled: %d → %d", dialsBefore, dials)
-	}
+			// Clean release → reuse, no new dial.
+			if err := pf.exchange("AP"); err != nil {
+				t.Fatal(err)
+			}
+			if dials, _, _ := pf.counter.stats("AP"); dials != dialsBefore {
+				t.Fatalf("clean exchange redialled: %d → %d", dialsBefore, dials)
+			}
 
-	// Dirty release → discard, next Acquire dials fresh.
-	pc, err = pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc.MarkDirty()
-	pf.pool.Release(pc)
-	pc, err = pf.pool.Acquire("AP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf.pool.Release(pc)
-	if dials, _, _ := pf.counter.stats("AP"); dials != dialsBefore+1 {
-		t.Fatalf("dirty lease not replaced by one fresh dial: %d → %d", dialsBefore, dials)
+			// Dirty → discard, the next exchange dials fresh.
+			rep := pf.pool.routers["AP"].snapshot()[0]
+			rep.pipes.mu.Lock()
+			conns := append([]*pipeConn(nil), rep.pipes.conns...)
+			rep.pipes.mu.Unlock()
+			if len(conns) != 1 {
+				t.Fatalf("sequential exchanges left %d connections, want 1", len(conns))
+			}
+			conns[0].fail(errors.New("stream interrupted mid-message"), true)
+			if got := pf.pool.metrics.dirtyDiscards.Value(); got != 1 {
+				t.Fatalf("dirty discards = %d, want 1", got)
+			}
+			if err := pf.exchange("AP"); err != nil {
+				t.Fatal(err)
+			}
+			if dials, _, _ := pf.counter.stats("AP"); dials != dialsBefore+1 {
+				t.Fatalf("dirty connection not replaced by one fresh dial: %d → %d", dialsBefore, dials)
+			}
+			assertNoLeakedConns(t, pf.pool)
+
+			pf.pool.Close()
+			if err := pf.exchange("AP"); !errors.Is(err, ErrPoolClosed) {
+				t.Fatalf("exchange after Close: got %v, want ErrPoolClosed", err)
+			}
+		})
 	}
 }
 
@@ -393,17 +454,18 @@ func TestPoolCloseDuringQueries(t *testing.T) {
 	if failures.Load() != goroutines {
 		t.Fatalf("expected every goroutine to observe shutdown, got %d failures", failures.Load())
 	}
-	// After shutdown no connection may be leaked: leased and idle both empty,
-	// and the dialer agrees nothing is open.
-	pf.pool.mu.Lock()
-	leaked, idle := len(pf.pool.leased), 0
-	for _, l := range pf.pool.idle {
-		idle += len(l)
-	}
-	pf.pool.mu.Unlock()
-	if leaked != 0 || idle != 0 {
-		t.Fatalf("pool leaked %d leased + %d idle connections after Close", leaked, idle)
-	}
+	// After shutdown no connection may be leaked: no lease or pending
+	// exchange outstanding, no connection left in any replica's set, and the
+	// dialer agrees nothing is open.
+	assertNoLeakedConns(t, pf.pool)
+	eachReplica(pf.pool, func(lib string, rep *replica) {
+		rep.pipes.mu.Lock()
+		n := len(rep.pipes.conns)
+		rep.pipes.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("%s %s kept %d connections after Close", lib, rep.endpoint, n)
+		}
+	})
 	for _, name := range pf.order {
 		if _, open, _ := pf.counter.stats(name); open != 0 {
 			t.Fatalf("librarian %s still has %d open connections after Close", name, open)
@@ -413,8 +475,8 @@ func TestPoolCloseDuringQueries(t *testing.T) {
 	if _, err := pf.pool.Query(ModeCV, "alpha", 5, Options{}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("query after Close: got %v, want ErrPoolClosed", err)
 	}
-	if _, err := pf.pool.Acquire("AP"); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Acquire after Close: got %v, want ErrPoolClosed", err)
+	if err := pf.exchange("AP"); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("exchange after Close: got %v, want ErrPoolClosed", err)
 	}
 	if err := pf.pool.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)

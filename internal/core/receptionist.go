@@ -90,7 +90,7 @@ type Options struct {
 	// reply wins and the loser is cancelled. Requires ≥2 replicas for the
 	// librarian and takes effect only once enough latency samples exist.
 	// A hedge is not a retry (Trace.Hedges accounts it separately), never
-	// blocks behind a busy replica (it takes a connection slot only if one
+	// blocks behind a busy replica (it takes an exchange slot only if one
 	// is free), and cannot change results — replicas serve identical
 	// subcollections. Zero, or any value outside (0,1), disables hedging.
 	HedgeAfter float64
@@ -217,7 +217,7 @@ func (r *Receptionist) Pool() *Pool { return r.pool }
 // Federation returns the shared federation state behind this receptionist.
 func (r *Receptionist) Federation() *Federation { return r.pool.fed }
 
-// Close closes every librarian connection, idle or leased. Queries in
+// Close closes every librarian connection, idle or busy. Queries in
 // flight fail with transport errors (or complete their current exchange);
 // new queries fail with ErrPoolClosed. Close is idempotent.
 func (r *Receptionist) Close() error { return r.pool.Close() }

@@ -28,19 +28,15 @@ const hedgeMinSamples = 16
 // exchanges across them and routes around the ones that are failing.
 type replica struct {
 	endpoint string
-	// slots is the per-endpoint connection-slot semaphore (capacity
-	// MaxConnsPerLibrarian). Hedges take a slot only if one is free right
-	// now, which is what keeps them from queue-jumping regular exchanges.
-	slots chan struct{}
-	// tags is the pipelined-lease semaphore (capacity MaxConnsPerLibrarian ×
-	// PipelineDepth): when the endpoint negotiates FeaturePipelining, the
-	// lease unit is an exchange tag rather than a whole connection, so the
-	// same connection budget carries depth× the concurrency.
+	// tags is the exchange semaphore (capacity MaxConnsPerLibrarian ×
+	// PipelineDepth), the first half of every lease. Hedges take a tag only
+	// if one is free right now, which is what keeps them from queue-jumping
+	// regular exchanges.
 	tags chan struct{}
-	// wire records the Hello negotiation outcome for this endpoint
-	// (wireUnknown until first contact, then wirePipelined or wireLegacy).
-	wire atomic.Int32
-	// pipes is the set of negotiated tagged connections to this endpoint.
+	// seedOnly records that the endpoint declined FeaturePipelining in a
+	// Hello: its connections are dialled straight into seed framing.
+	seedOnly atomic.Bool
+	// pipes is the set of connections to this endpoint.
 	pipes pipeSet
 	// inflight counts leases currently out — the load signal the
 	// power-of-two-choices pick compares.
@@ -56,7 +52,6 @@ type replica struct {
 func newReplica(endpoint string, maxConns, depth int) *replica {
 	r := &replica{
 		endpoint: endpoint,
-		slots:    make(chan struct{}, maxConns),
 		tags:     make(chan struct{}, maxConns*depth),
 	}
 	r.pipes.init()
@@ -300,8 +295,7 @@ func (rt *router) add(r *replica) {
 }
 
 // remove drops the replica with the given endpoint from the set and marks
-// it removed, so in-flight leases bound to it close their connections on
-// release instead of parking them idle. Reports whether it was present.
+// it removed, so no pick lands on it again. Reports whether it was present.
 func (rt *router) remove(endpoint string) (*replica, bool) {
 	rt.rmu.Lock()
 	defer rt.rmu.Unlock()

@@ -29,6 +29,13 @@ type replicaFixture struct {
 
 func newReplicaFixture(t testing.TB, corpus map[string][]store.Document, order []string, nreplicas int, cfg Config) *replicaFixture {
 	t.Helper()
+	return newReplicaFixtureWith(t, corpus, order, nreplicas, cfg, nil)
+}
+
+// newReplicaFixtureWith is newReplicaFixture with mutate, when non-nil,
+// applied to the librarians before the pool's setup Hello runs.
+func newReplicaFixtureWith(t testing.TB, corpus map[string][]store.Document, order []string, nreplicas int, cfg Config, mutate func([]*librarian.Librarian)) *replicaFixture {
+	t.Helper()
 	a := testAnalyzer()
 	dialer := librarian.NewInProcessDialer(nil, simnet.LinkConfig{})
 	replicas := make(map[string][]string, len(order))
@@ -36,6 +43,9 @@ func newReplicaFixture(t testing.TB, corpus map[string][]store.Document, order [
 		lib, err := librarian.Build(name, corpus[name], librarian.BuildOptions{Analyzer: a})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if mutate != nil {
+			mutate([]*librarian.Librarian{lib})
 		}
 		for i := 0; i < nreplicas; i++ {
 			ep := fmt.Sprintf("%s#%d", name, i)
@@ -57,16 +67,26 @@ func newReplicaFixture(t testing.TB, corpus map[string][]store.Document, order [
 	return &replicaFixture{pool: pool, chaos: chaos, dialer: dialer, order: order, replicas: replicas}
 }
 
-// assertNoLeakedConns verifies every lease was returned: nothing leased,
-// in-use gauge at zero.
+// assertNoLeakedConns verifies every lease was returned: no tag taken, no
+// window slot held and no exchange pending on any connection of any
+// replica, and the in-use gauge at zero.
 func assertNoLeakedConns(t *testing.T, p *Pool) {
 	t.Helper()
-	p.mu.Lock()
-	leaked := len(p.leased)
-	p.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("leaked %d pooled connections", leaked)
-	}
+	eachReplica(p, func(lib string, rep *replica) {
+		if n := len(rep.tags); n != 0 {
+			t.Fatalf("%s %s: %d leases outstanding", lib, rep.endpoint, n)
+		}
+		rep.pipes.mu.Lock()
+		defer rep.pipes.mu.Unlock()
+		for _, pc := range rep.pipes.conns {
+			pc.mu.Lock()
+			pending := len(pc.pending)
+			pc.mu.Unlock()
+			if pc.leases != 0 || pending != 0 {
+				t.Fatalf("%s %s: connection holds %d leases, %d pending exchanges", lib, rep.endpoint, pc.leases, pending)
+			}
+		}
+	})
 	if v := p.metrics.connsInUse.Value(); v != 0 {
 		t.Fatalf("conns_in_use gauge = %d after drain, want 0", v)
 	}

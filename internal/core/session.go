@@ -308,101 +308,49 @@ func (e *exec) callLibrarian(name string, phase Phase, req protocol.Message) ([]
 	return calls, nil, &Failure{Librarian: name, Phase: phase, Attempts: maxAttempts, Err: lastErr}
 }
 
-// attempt performs one exchange against one replica of the named librarian:
-// lease (router-picked, steering around avoid), dial if the lease came
-// without a live connection, exchange, report the outcome to the router's
-// passive health tracking, release. onLease, when non-nil, observes the
-// chosen endpoint as soon as the lease is taken — the hedge path uses it to
-// route the hedge away from the primary and to count only hedges that
-// actually got a connection slot. The endpoint used is returned even on
-// failure so the retry loop can avoid it.
+// attempt performs one exchange against one replica of the named librarian
+// (attemptOnce). onLease, when non-nil, observes the chosen endpoint as soon
+// as the lease is taken — the hedge path uses it to route the hedge away
+// from the primary and to count only hedges that actually got a slot. The
+// endpoint used is returned even on failure so the retry loop can avoid it.
+//
+// A pick taken just before RemoveReplica swapped the set can land on a
+// replica whose connections are draining. The endpoint itself is still
+// alive, so a drain must not surface as a failed attempt: re-pick against
+// the freshly installed set, which no longer contains the removed replica.
+// One re-pick suffices — drained replicas are never in the current set —
+// but bound the loop against pathological churn. onLease fires once per
+// logical attempt, not per re-pick: the hedge path counts a launched hedge
+// in it, and a drain re-pick is still the same attempt.
 func (e *exec) attempt(ctx context.Context, name string, phase Phase, req protocol.Message, avoid string, tryOnly bool, onLease func(endpoint string)) ([]Call, protocol.Message, string, error) {
-	if e.pool.features.Has(protocol.FeaturePipelining) {
-		legacy := false
-		// A pick taken just before RemoveReplica swapped the set can land on
-		// a replica whose connections are draining. The legacy path served
-		// such exchanges unnoticed (the endpoint itself is still alive), so
-		// a drain must not surface as a failed attempt: re-pick against the
-		// freshly installed set, which no longer contains the removed
-		// replica. One re-pick suffices — drained replicas are never in the
-		// current set — but bound the loop against pathological churn.
-		// onLease fires once per logical attempt, not per re-pick: the hedge
-		// path counts a launched hedge in it, and a drain re-pick is still
-		// the same attempt.
-		leased := false
-		onceLease := onLease
-		if onLease != nil {
-			onceLease = func(ep string) {
-				if !leased {
-					leased = true
-					onLease(ep)
-				}
-			}
-		}
-		for tries := 0; tries < 3; tries++ {
-			calls, reply, ep, err := e.attemptPiped(ctx, name, phase, req, avoid, tryOnly, onceLease)
-			if errors.Is(err, errConnDraining) && ctx.Err() == nil {
-				continue
-			}
-			if !errors.Is(err, errWireLegacy) {
-				return calls, reply, ep, err
-			}
-			// The replica negotiated the seed framing (a mixed-version
-			// fleet): fall through to the legacy exclusive-connection path,
-			// whose idle list already holds the handshook connection.
-			legacy = true
-			break
-		}
-		if !legacy {
-			// Every re-pick landed on a draining replica (sustained churn):
-			// report the transient error and let the retry policy handle it.
-			return nil, nil, "", errConnDraining
-		}
-	}
-	pc, err := e.pool.leaseReplica(ctx, name, avoid, tryOnly)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	defer e.pool.Release(pc)
-	endpoint := pc.Endpoint()
+	fired := false
+	onceLease := onLease
 	if onLease != nil {
-		onLease(endpoint)
-	}
-	rt := e.pool.routers[name]
-	if err := pc.ensure(); err != nil {
-		// Health accounting never counts a cancelled attempt against the
-		// replica: a hedge loser or an abandoned query says nothing about
-		// the endpoint. Pool shutdown says nothing either.
-		if ctx.Err() == nil && !errors.Is(err, ErrPoolClosed) {
-			rt.reportFailure(pc.rep)
-		}
-		return nil, nil, endpoint, err
-	}
-	call, reply, err := e.exchange(ctx, pc, phase, req)
-	if err != nil {
-		if dirtiesConn(err) {
-			pc.MarkDirty()
-			if ctx.Err() == nil {
-				rt.reportFailure(pc.rep)
+		onceLease = func(ep string) {
+			if !fired {
+				fired = true
+				onLease(ep)
 			}
-		} else {
-			// A RemoteError is a completed exchange: the replica is healthy
-			// and its latency is a real observation.
-			rt.reportSuccess(pc.rep, call.Ship+call.Wait)
 		}
-		return []Call{call}, nil, endpoint, err
 	}
-	rt.reportSuccess(pc.rep, call.Ship+call.Wait)
-	return []Call{call}, reply, endpoint, nil
+	for tries := 0; tries < 3; tries++ {
+		calls, reply, ep, err := e.attemptOnce(ctx, name, phase, req, avoid, tryOnly, onceLease)
+		if !errors.Is(err, errConnDraining) || ctx.Err() != nil {
+			return calls, reply, ep, err
+		}
+	}
+	// Every re-pick landed on a draining replica (sustained churn): report
+	// the transient error and let the retry policy handle it.
+	return nil, nil, "", errConnDraining
 }
 
 // attemptHedged is one policy attempt that may race two replicas: the
 // primary runs immediately; if the policy hedges (Options.HedgeAfter) and
 // the primary outlives the librarian's tracked latency quantile, a hedge
 // launches against a different replica and the first reply wins, the loser
-// cancelled through its context (its deadline snaps and its stream is
-// discarded as dirty). The hedge takes a connection slot only if one is
-// free right now — hedging adds no load to a saturated replica set — and a
+// cancelled through its context (see pipeConn.forget for what that costs
+// its connection). The hedge takes an exchange slot only if one is free
+// right now — hedging adds no load to a saturated replica set — and a
 // hedge that never got a slot is not counted as launched.
 func (e *exec) attemptHedged(name string, phase Phase, req protocol.Message, avoid string) ([]Call, protocol.Message, string, error) {
 	rt := e.pool.routers[name]
@@ -493,68 +441,6 @@ func (e *exec) attemptHedged(name string, phase Phase, req protocol.Message, avo
 	// error: the hedge's no-free-slot sentinel is not a query error, and
 	// the primary's failure is the one the retry policy should classify.
 	return calls, nil, primary.ep, primary.err
-}
-
-// exchange performs one request/response round trip on the leased
-// connection, recording traffic and librarian statistics in the Call.
-func (e *exec) exchange(ctx context.Context, pc *PooledConn, phase Phase, req protocol.Message) (Call, protocol.Message, error) {
-	call := Call{Librarian: pc.name, Replica: pc.Endpoint(), Phase: phase, ReqType: req.Type()}
-	conn := pc.conn
-	// Deadline errors surface from the read/write below; a fresh deadline
-	// applies to every attempt, and is cleared before the connection can
-	// return to the idle list. The effective deadline is the earlier of the
-	// per-exchange Options.Timeout and the context's own deadline.
-	var deadline time.Time
-	if e.policy.timeout > 0 {
-		deadline = time.Now().Add(e.policy.timeout)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
-	if !deadline.IsZero() {
-		_ = conn.SetDeadline(deadline)
-		defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	}
-	if ctx.Done() != nil {
-		// Cancellation must wake a read blocked on a slow librarian, not
-		// just future deadline checks: snap the deadline into the past, which
-		// fails the pending I/O and marks the stream dirty for discard.
-		snapped := make(chan struct{})
-		stop := context.AfterFunc(ctx, func() {
-			defer close(snapped)
-			_ = conn.SetDeadline(time.Now().Add(-time.Second))
-		})
-		defer func() {
-			if !stop() {
-				// The snap is running (a hedge race can cancel ctx in the
-				// same instant the exchange completes cleanly): wait for it
-				// and undo it, or a healthy connection would be parked on
-				// the idle list with a poisoned deadline and fail its next
-				// exchange instantly.
-				<-snapped
-				_ = conn.SetDeadline(time.Time{})
-			}
-		}()
-	}
-	shipStart := time.Now()
-	wrote, err := protocol.WriteMessage(conn, req)
-	call.ReqBytes = wrote
-	call.Ship = time.Since(shipStart)
-	if err != nil {
-		return call, nil, err
-	}
-	e.pool.metrics.wireBytesOut.Add(uint64(wrote))
-	waitStart := time.Now()
-	reply, read, err := protocol.ReadMessage(conn)
-	call.RespBytes = read
-	call.Wait = time.Since(waitStart)
-	if err != nil {
-		return call, nil, err
-	}
-	e.pool.metrics.wireBytesIn.Add(uint64(read))
-	e.pool.metrics.wireRoundTrips.Inc()
-	reply, err = classifyReply(&call, reply)
-	return call, reply, err
 }
 
 // classifyReply turns a decoded reply into the exchange outcome: an

@@ -157,7 +157,7 @@ type Trace struct {
 
 	// Hedges counts hedged exchanges launched for this query — the primary
 	// outlived its latency-quantile budget and a second replica was raced
-	// (only hedges that actually got a free connection slot count).
+	// (only hedges that actually got a free exchange slot count).
 	// HedgeWins counts those whose reply arrived first and was used.
 	Hedges    int
 	HedgeWins int

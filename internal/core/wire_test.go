@@ -54,6 +54,29 @@ func eachReplica(p *Pool, visit func(lib string, rep *replica)) {
 	}
 }
 
+// framings counts a replica's live connections by framing.
+func framings(rep *replica) (tagged, seed int) {
+	rep.pipes.mu.Lock()
+	defer rep.pipes.mu.Unlock()
+	for _, pc := range rep.pipes.conns {
+		if pc.tagged {
+			tagged++
+		} else {
+			seed++
+		}
+	}
+	return tagged, seed
+}
+
+// grantNothing makes librarians decline every wire feature, as a librarian
+// predating negotiation would: a default pool in front of them is a mixed
+// fleet.
+func grantNothing(libs []*librarian.Librarian) {
+	for _, lib := range libs {
+		lib.SupportFeatures(0)
+	}
+}
+
 // TestWireGoldenParity pins the tentpole's safety property: the pipelined
 // and batched wires are transports, not semantics — every mode must return
 // bit-identical answers whether frames are tagged, coalesced, or the seed's
@@ -70,16 +93,16 @@ func TestWireGoldenParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The seed wire negotiated nothing; the default wire negotiated the
-	// pipelined framing on every replica.
+	// The seed wire negotiated nothing: every connection is seed-framed.
+	// The default wire negotiated the pipelined framing on every replica.
 	eachReplica(seed.Pool(), func(lib string, rep *replica) {
-		if w := rep.wire.Load(); w != wireUnknown && w != wireLegacy {
-			t.Errorf("%s %s: FeatureNone pool negotiated wire state %d", lib, rep.endpoint, w)
+		if tagged, n := framings(rep); tagged != 0 || n == 0 {
+			t.Errorf("%s %s: FeatureNone pool has %d tagged and %d seed-framed connections, want only seed-framed", lib, rep.endpoint, tagged, n)
 		}
 	})
 	eachReplica(piped.Pool(), func(lib string, rep *replica) {
-		if w := rep.wire.Load(); w != wirePipelined {
-			t.Errorf("%s %s: default pool wire state %d, want pipelined", lib, rep.endpoint, w)
+		if tagged, n := framings(rep); tagged == 0 || n != 0 || rep.seedOnly.Load() {
+			t.Errorf("%s %s: default pool has %d tagged and %d seed-framed connections, want only tagged", lib, rep.endpoint, tagged, n)
 		}
 	})
 
@@ -121,33 +144,47 @@ func TestWireGoldenParity(t *testing.T) {
 
 // TestWireGoldenParityUnderFaults re-checks parity when the exchanges take
 // the ugly paths: a killed replica forcing retries, and hedges racing the
-// survivors. The answers must still match the seed wire exactly.
+// survivors. The answers must still match the seed wire exactly, both on
+// the pipelined wire and on a mixed fleet, where a default pool falls back
+// to seed framing against librarians that grant nothing.
 func TestWireGoldenParityUnderFaults(t *testing.T) {
 	corpus, order := smallCorpus(t)
 	seed := newReplicaFixture(t, corpus, order, 2, Config{WireFeatures: protocol.FeatureNone})
-	piped := newReplicaFixture(t, corpus, order, 2, Config{})
 	for _, name := range order {
 		seed.chaos.Kill(name + "#0")
-		piped.chaos.Kill(name + "#0")
 	}
-	for i, q := range []string{"alpha federal wallstreet", "fiscal widget", "alpha avalanche"} {
-		opts := Options{Retries: 2, Backoff: time.Millisecond}
-		if i%2 == 1 {
-			opts.HedgeAfter = 0.5
-		}
-		want, err := seed.pool.Query(ModeCN, q, 10, opts)
-		if err != nil {
-			t.Fatalf("%q seed wire: %v", q, err)
-		}
-		got, err := piped.pool.Query(ModeCN, q, 10, opts)
-		if err != nil {
-			t.Fatalf("%q piped wire: %v", q, err)
-		}
-		if !answersEqual(want.Answers, got.Answers) {
-			t.Fatalf("%q: pipelined wire diverged from seed under faults", q)
-		}
+	for _, tc := range []struct {
+		name   string
+		mutate func([]*librarian.Librarian)
+	}{
+		{"pipelined", nil},
+		{"mixed", grantNothing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newReplicaFixtureWith(t, corpus, order, 2, Config{}, tc.mutate)
+			for _, name := range order {
+				f.chaos.Kill(name + "#0")
+			}
+			for i, q := range []string{"alpha federal wallstreet", "fiscal widget", "alpha avalanche"} {
+				opts := Options{Retries: 2, Backoff: time.Millisecond}
+				if i%2 == 1 {
+					opts.HedgeAfter = 0.5
+				}
+				want, err := seed.pool.Query(ModeCN, q, 10, opts)
+				if err != nil {
+					t.Fatalf("%q seed wire: %v", q, err)
+				}
+				got, err := f.pool.Query(ModeCN, q, 10, opts)
+				if err != nil {
+					t.Fatalf("%q %s wire: %v", q, tc.name, err)
+				}
+				if !answersEqual(want.Answers, got.Answers) {
+					t.Fatalf("%q: %s wire diverged from seed under faults", q, tc.name)
+				}
+			}
+			assertNoLeakedConns(t, f.pool)
+		})
 	}
-	assertNoLeakedConns(t, piped.pool)
 }
 
 // TestMixedFleetDegradesToSeedFraming pins the rollout story: a pool asking
@@ -156,15 +193,12 @@ func TestWireGoldenParityUnderFaults(t *testing.T) {
 // grant, no coalescing).
 func TestMixedFleetDegradesToSeedFraming(t *testing.T) {
 	corpus, order := smallCorpus(t)
-	old := buildRecep(t, corpus, order, Config{}, func(libs []*librarian.Librarian) {
-		for _, lib := range libs {
-			lib.SupportFeatures(0)
-		}
-	})
+	old := buildRecep(t, corpus, order, Config{}, grantNothing)
 	modern := buildRecep(t, corpus, order, Config{}, nil)
 	eachReplica(old.Pool(), func(lib string, rep *replica) {
-		if w := rep.wire.Load(); w != wireLegacy {
-			t.Errorf("%s %s: wire state %d, want legacy after zero grant", lib, rep.endpoint, w)
+		if tagged, n := framings(rep); !rep.seedOnly.Load() || tagged != 0 || n == 0 {
+			t.Errorf("%s %s: seed-only %v with %d tagged and %d seed-framed connections after zero grant, want seed framing only",
+				lib, rep.endpoint, rep.seedOnly.Load(), tagged, n)
 		}
 	})
 	for _, q := range []string{"alpha federal wallstreet", "federal fiscal"} {
@@ -229,10 +263,10 @@ func TestPipelineSharesOneConnection(t *testing.T) {
 func TestPipeDemuxMisbehavingPeer(t *testing.T) {
 	newPipe := func(t *testing.T) (*pipeConn, net.Conn) {
 		t.Helper()
-		pool := &Pool{metrics: newMetrics(obs.NewRegistry()), done: make(chan struct{})}
+		pool := &Pool{metrics: newMetrics(obs.NewRegistry()), done: make(chan struct{}), depth: 8}
 		rep := newReplica("X#0", 1, 8)
 		client, server := net.Pipe()
-		pc := newPipeConn(pool, rep, client, 8)
+		pc := newPipeConn(pool, rep, client, true)
 		rep.pipes.mu.Lock()
 		rep.pipes.conns = append(rep.pipes.conns, pc)
 		rep.pipes.mu.Unlock()

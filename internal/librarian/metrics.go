@@ -53,8 +53,14 @@ func (m *libMetrics) observe(read, wrote int, start time.Time, reply protocol.Me
 // series carry a librarian label, so several librarians can share one
 // registry — the deployment the paper's receptionist federates over.
 func (l *Librarian) Instrument(reg *obs.Registry) {
-	labels := fmt.Sprintf("librarian=%q", l.name)
-	m := &libMetrics{
+	l.metrics.Store(newLibMetrics(reg, l.name))
+}
+
+// newLibMetrics registers the teraphim_librarian_* and per-librarian search
+// series for the librarian called name.
+func newLibMetrics(reg *obs.Registry, name string) *libMetrics {
+	labels := fmt.Sprintf("librarian=%q", name)
+	return &libMetrics{
 		activeSessions: reg.Gauge("teraphim_librarian_active_sessions",
 			"Protocol sessions currently being served.", labels),
 		requests: reg.Counter("teraphim_librarian_requests_total",
@@ -67,5 +73,4 @@ func (l *Librarian) Instrument(reg *obs.Registry) {
 			"Per-request service time: evaluation plus reply write.", labels, nil),
 		search: search.NewMetrics(reg, labels),
 	}
-	l.metrics.Store(m)
 }

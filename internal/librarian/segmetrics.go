@@ -26,10 +26,12 @@ type segMetrics struct {
 	mergeSeconds *obs.Histogram
 }
 
-// Instrument registers this librarian's ingest and segment instruments on
-// reg and starts recording. All series carry a librarian label, matching
-// the teraphim_librarian_* convention.
+// Instrument registers this librarian's instruments on reg and starts
+// recording: the serving series a plain Librarian exports (requests, wire
+// bytes, service time, search work), plus the ingest and segment families.
+// All series carry a librarian label.
 func (u *UpdatableLibrarian) Instrument(reg *obs.Registry) {
+	u.served.Store(newLibMetrics(reg, u.name))
 	labels := fmt.Sprintf("librarian=%q", u.name)
 	m := &segMetrics{
 		docsQueued: reg.Counter("teraphim_ingest_docs_queued_total",

@@ -79,6 +79,9 @@ type UpdatableLibrarian struct {
 	queueFullWaits atomic.Uint64
 
 	metrics atomic.Pointer[segMetrics]
+	// served is the serving instrument set, loaded once per session; nil
+	// until Instrument.
+	served atomic.Pointer[libMetrics]
 
 	// testBuildGate and testBuild, when set (before the first Ingest), hook
 	// the background builders: the gate is invoked at the start of every
@@ -273,7 +276,7 @@ func (u *UpdatableLibrarian) ServeConn(conn io.ReadWriter) error {
 
 // connServer implementation (see serve.go).
 func (u *UpdatableLibrarian) serveName() string         { return u.name }
-func (u *UpdatableLibrarian) serveMetrics() *libMetrics { return nil }
+func (u *UpdatableLibrarian) serveMetrics() *libMetrics { return u.served.Load() }
 func (u *UpdatableLibrarian) grantFeatures(req protocol.Features) protocol.Features {
 	return req & protocol.Features(u.supported.Load())
 }

@@ -103,14 +103,14 @@ func selectFleet(b *testing.B, librarians, docsPerSub int) *selectBenchFleet {
 
 // selectBenchRow is one sweep cell of BENCH_select.json.
 type selectBenchRow struct {
-	Librarians     int     `json:"librarians"`
-	TopR           int     `json:"top_r"`
-	Queries        int     `json:"queries"`
-	Seconds        float64 `json:"seconds"`
-	QueriesSec     float64 `json:"queries_per_sec"`
-	MeanLibsAsked  float64 `json:"mean_librarians_asked"`
-	OverlapAtTen   float64 `json:"overlap_at_10_vs_full"`
-	EffectQueries  int     `json:"effectiveness_queries"`
+	Librarians    int     `json:"librarians"`
+	TopR          int     `json:"top_r"`
+	Queries       int     `json:"queries"`
+	Seconds       float64 `json:"seconds"`
+	QueriesSec    float64 `json:"queries_per_sec"`
+	MeanLibsAsked float64 `json:"mean_librarians_asked"`
+	OverlapAtTen  float64 `json:"overlap_at_10_vs_full"`
+	EffectQueries int     `json:"effectiveness_queries"`
 }
 
 // sweepRs returns the R values swept for one fleet: 1, quarter, half, all.
